@@ -76,22 +76,6 @@ def evaluate_objective(R, G: np.ndarray, S: np.ndarray,
                               graph_smoothness=float(graph_smoothness))
 
 
-# Module-level objective task kernels (picklable for process pools; see
-# repro.core.updates for the convention).  Items are plain operand tuples.
-
-
-def _pair_error_task(item) -> float:
-    """``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F`` of one relation pair."""
-    R_tu, G_t, S_tu, G_u, E_tu = item
-    return rspace.pair_reconstruction_error(R_tu, G_t, S_tu, G_u, E_tu)
-
-
-def _smoothness_task(item) -> float:
-    """``tr(G_tᵀ L_t G_t)`` of one type."""
-    G_t, L_t = item
-    return trace_quadratic(G_t, L_t)
-
-
 def _type_l21(E_R, object_spec, t: int) -> float:
     """The L2,1 norm contribution of one row type's E_R rows."""
     if E_R is None:
@@ -105,7 +89,7 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
                               beta: float, pairs=None, pool=None,
                               schedule=None, sweep: bool = False,
-                              cache=None, engine=None) -> ObjectiveBreakdown:
+                              cache=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
 
     Every term decomposes over the block structure: the reconstruction is a
@@ -136,10 +120,6 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         summed from the cache.  ``sweep=True`` refreshes every cached
         term.  Either argument ``None`` runs the full evaluation exactly
         as before.
-    engine:
-        Optional :class:`~repro.linalg.torch_engine.TorchSolverEngine`;
-        routes the per-pair residual norms and per-type traces through the
-        device instead of the pool.
     """
     from .updates import _error_block, _map  # local: avoids an import cycle
 
@@ -150,26 +130,19 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     object_spec = state.object_spec
     cluster_spec = state.cluster_spec
 
-    def pair_item(pair):
+    def one_pair(pair) -> float:
         t, u = pair
         S_tu = S[cluster_spec.slice(t), cluster_spec.slice(u)]
         E_tu = _error_block(state.E_R, object_spec, t, u)
-        return R_pairs.get(pair), G[t], S_tu, G[u], E_tu
+        return rspace.pair_reconstruction_error(R_pairs.get(pair), G[t],
+                                                S_tu, G[u], E_tu)
+
+    def one_type(t: int) -> float:
+        return trace_quadratic(G[t], L_blocks[t])
 
     def evaluate_terms(eval_pairs, eval_types):
         """Per-pair reconstruction and per-type smoothness term values."""
-        if engine is not None:
-            return ([engine.pair_reconstruction_error(*pair_item(pair))
-                     for pair in eval_pairs],
-                    [engine.smoothness(t, G[t], L_blocks[t])
-                     for t in eval_types])
-        pair_values = _map(pool, _pair_error_task,
-                           [pair_item(pair) for pair in eval_pairs],
-                           labels=eval_pairs, name="one_pair")
-        type_values = _map(pool, _smoothness_task,
-                           [(G[t], L_blocks[t]) for t in eval_types],
-                           labels=eval_types, name="one_type")
-        return pair_values, type_values
+        return _map(pool, one_pair, eval_pairs), _map(pool, one_type, eval_types)
 
     if schedule is None or cache is None:
         pair_values, type_values = evaluate_terms(

@@ -32,7 +32,6 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ..linalg.batched import batched_pinv_sandwich
 from ..linalg.normalize import row_normalize_l1
 from ..linalg.norms import frobenius_norm, row_l2_norms
 from ..linalg.parts import split_parts
@@ -222,7 +221,7 @@ def update_error_matrix(R, state: FactorizationState, *, beta: float,
 # :class:`repro.core.parallel.TypeWorkPool`.
 
 
-def _map(pool, fn, items, *, labels=None, name=None):
+def _map(pool, fn, items):
     """Ordered map through an optional :class:`TypeWorkPool` (serial if None).
 
     When a fit-trace span is active on the calling thread (the solver
@@ -230,117 +229,23 @@ def _map(pool, fn, items, *, labels=None, name=None):
     kernel invocation is recorded as a completed child of it — with
     explicit timestamps, because the pool's worker threads do not inherit
     the caller's contextvar and :meth:`repro.obs.Span.record` is the
-    thread-safe way in.  ``labels`` supplies the per-item span labels
-    (defaulting to ``str(item)``; task items carry operand arrays, whose
-    repr is not a label) and ``name`` the kernel span name.
-
-    Under a process pool the recording wrapper is skipped — it closes over
-    the parent span and would not pickle, and the span object could not be
-    mutated from a worker process anyway.  Per-kernel child spans are a
-    thread/serial-execution feature; the per-family spans are recorded by
-    the solver either way.
+    thread-safe way in.  The span is named after the kernel and labelled
+    with its item (a type index or an ordered type pair).
     """
-    items = list(items)
     parent = current_span()
-    if parent is not None and not (
-            pool is not None and getattr(pool, "is_process", False)):
+    if parent is not None:
         kernel = fn
-        span_name = name if name is not None else getattr(kernel, "__name__",
-                                                          "kernel")
-        item_labels = ([str(label) for label in labels] if labels is not None
-                       else [str(item) for item in items])
+        name = getattr(kernel, "__name__", "kernel")
 
-        def fn(tagged, _kernel=kernel, _name=span_name):
-            label, item = tagged
+        def fn(item, _kernel=kernel, _name=name):
             start = time.perf_counter()
             result = _kernel(item)
-            parent.record(_name, start, time.perf_counter(), item=label)
+            parent.record(_name, start, time.perf_counter(), item=str(item))
             return result
-
-        items = list(zip(item_labels, items))
 
     if pool is None:
         return [fn(item) for item in items]
     return pool.map(fn, items)
-
-
-# Module-level task kernels: one per update family, taking a single plain
-# tuple of operand arrays.  Keeping them at module scope (instead of the
-# closures they once were) is what makes the blocked fan-out executable on
-# a spawn-context *process* pool — the callable and its items must pickle —
-# and it hands the torch engine the exact same per-task operands.
-
-
-def _association_core_task(item):
-    """Core ``G_tᵀ (R_tu − E_tu) G_u`` of one pair's S block (Eq. 18)."""
-    G_t, R_tu, E_tu, G_u = item
-    return G_t.T @ rspace.project_relations(R_tu, E_tu, G_u)
-
-
-def _membership_type_task(item):
-    """Multiplicative update of one type's membership block (Eq. 21–22)."""
-    G_t, L_parts_t, a_terms, b_terms, lam = item
-    A = np.zeros_like(G_t)
-    for R_tu, E_tu, G_u, S_tu in a_terms:
-        A += rspace.project_relations(R_tu, E_tu, G_u) @ S_tu.T
-    B = np.zeros((G_t.shape[1], G_t.shape[1]))
-    for S_ut, gram_u in b_terms:
-        B += S_ut.T @ gram_u @ S_ut
-    L_pos, L_neg = L_parts_t
-    A_pos, A_neg = split_parts(A)
-    B_pos, B_neg = split_parts(B)
-    numerator = lam * (L_neg @ G_t) + A_pos + G_t @ B_neg
-    denominator = lam * (L_pos @ G_t) + A_neg + G_t @ B_pos
-    ratio = safe_divide(numerator, denominator, eps=_EPS)
-    return row_normalize_l1(G_t * np.sqrt(ratio))
-
-
-def _error_type_task(item):
-    """Shrunk error rows of one row type (Eq. 25–27).
-
-    ``terms`` lists ``(u, R_tu, S_tu, G_u)`` over the type's outgoing
-    pairs.  Returns ``(global_rows, values)`` in sparse mode and a
-    ``{u: scaled_block}`` mapping in dense mode — never writing shared
-    state, so the task runs identically in a thread or a worker process.
-    """
-    (mode, G_t, terms, beta, zeta, floor, n_total, col_slices,
-     row_offset) = item
-    sparse = mode == "sparse"
-    n_t = G_t.shape[0]
-    if not terms:
-        return (np.empty(0, dtype=np.int64),
-                np.empty((0, n_total))) if sparse else {}
-    if sparse:
-        factored = {u: G_t @ S_tu for u, _, S_tu, _ in terms}
-        sq = np.zeros(n_t)
-        for u, R_tu, S_tu, G_u in terms:
-            sq += rspace.pair_residual_sq_row_norms(R_tu, G_t, S_tu, G_u,
-                                                    M=factored[u])
-        norms = np.sqrt(np.maximum(sq, 0.0))
-        scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-        rows = np.flatnonzero(scale * norms > floor)
-        values = np.zeros((rows.size, n_total))
-        for u, R_tu, S_tu, G_u in terms:
-            values[:, col_slices[u]] = scale[rows, None] * (
-                rspace.pair_residual_rows(R_tu, G_t, S_tu, G_u, rows,
-                                          M=factored[u]))
-        return rows + row_offset, values
-    residuals = {}
-    sq = np.zeros(n_t)
-    for u, R_tu, S_tu, G_u in terms:
-        reconstruction = (G_t @ S_tu) @ G_u.T
-        if R_tu is None:
-            residual = -reconstruction
-        else:
-            if sp.issparse(R_tu):
-                R_tu = R_tu.toarray()
-            residual = R_tu - reconstruction
-        residuals[u] = residual
-        sq += np.einsum("ij,ij->i", residual, residual)
-    norms = np.sqrt(np.maximum(sq, 0.0))
-    scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-    scale[scale * norms <= floor] = 0.0
-    return {u: residual * scale[:, None] for u, residual in residuals.items()}
 
 
 def _error_block(E_R, object_spec, t: int, u: int):
@@ -384,7 +289,7 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
 
 def update_association_blocks(R_pairs, state: FactorizationState, *,
                               pairs=None, pool=None, dirty_pairs=None,
-                              S_prev=None, engine=None) -> np.ndarray:
+                              S_prev=None) -> np.ndarray:
     """Blockwise closed-form S update (Eq. 18).
 
     ``GᵀG`` is block diagonal, so its pseudo-inverse is the block diagonal
@@ -395,14 +300,8 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     type-index pairs to relation blocks (dense or CSR); pairs absent from
     both ``R_pairs`` and ``pairs`` contribute nothing.
 
-    The per-pair cores fan out across ``pool``; the final ``(k_t, k_u)``
-    pseudo-inverse sandwiches are grouped by shape and run as batched
-    GEMMs (see :func:`repro.linalg.batched.batched_pinv_sandwich`)
-    whenever two or more pairs share a core shape.  With ``engine`` set
-    (a :class:`repro.linalg.torch_engine.TorchSolverEngine`) the cores
-    and the batched sandwiches run as torch kernels on the engine's
-    device instead; the gram pseudo-inverses stay on the host either way
-    (tiny guarded eigensolves).
+    The pairs fan out across ``pool``; each evaluates its pseudo-inverse
+    sandwich as ``P_t (C_tu P_u)``.
 
     Under a delta schedule ``dirty_pairs`` restricts the solve to the
     pairs whose factors moved; clean blocks carry over from ``S_prev``
@@ -424,18 +323,11 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         needed = sorted({index for pair in compute for index in pair})
         pinvs = {index: gram_pinv(G[index].T @ G[index]) for index in needed}
 
-    items = []
-    for pair in compute:
+    def one_pair(pair):
         t, u = pair
         E_tu = _error_block(state.E_R, object_spec, t, u)
-        items.append((G[t], R_pairs.get(pair), E_tu, G[u]))
-
-    if engine is not None:
-        blocks = engine.association_blocks(compute, items, pinvs)
-    else:
-        cores = dict(zip(compute, _map(pool, _association_core_task, items,
-                                       labels=compute, name="one_pair")))
-        blocks = batched_pinv_sandwich(compute, cores, pinvs)
+        core = G[t].T @ rspace.project_relations(R_pairs.get(pair), E_tu, G[u])
+        return pinvs[t] @ (core @ pinvs[u])
 
     if dirty_pairs is None or S_prev is None:
         S = np.zeros((cluster_spec.total, cluster_spec.total))
@@ -444,14 +336,14 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         for t in range(cluster_spec.n_types):
             block = cluster_spec.slice(t)
             S[block, block] = 0.0
-    for t, u in compute:
-        S[cluster_spec.slice(t), cluster_spec.slice(u)] = blocks[(t, u)]
+    for (t, u), block in zip(compute, _map(pool, one_pair, compute)):
+        S[cluster_spec.slice(t), cluster_spec.slice(u)] = block
     return S
 
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
                              lam: float, pairs=None, pool=None,
-                             dirty_types=None, engine=None) -> list[np.ndarray]:
+                             dirty_types=None) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
 
     For type ``t`` the relevant rows of the global update's A and B terms
@@ -460,9 +352,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     ever formed, and the block mask of the global rule is structural here.
     ``L_parts`` supplies the per-type ``(L_t⁺, L_t⁻)`` splits (loop-invariant,
     computed once per fit).  Types are independent given the other factors,
-    so they thread across ``pool``; with ``engine`` set the per-type
-    updates run as torch kernels on the engine's device (which holds the
-    Laplacian splits resident across iterations).
+    so they thread across ``pool``.
 
     ``dirty_types`` (a set of type indices) restricts the update to those
     types; every clean type's block object is returned *as is* — frozen,
@@ -492,22 +382,28 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     def s_block(t: int, u: int) -> np.ndarray:
         return S[cluster_spec.slice(t), cluster_spec.slice(u)]
 
-    def type_item(t: int):
-        a_terms = [(R_pairs.get((t, u)),
-                    _error_block(state.E_R, object_spec, t, u),
-                    G[u], s_block(t, u)) for u in by_source.get(t, ())]
-        b_terms = [(s_block(u, t), grams[u]) for u in by_target.get(t, ())]
-        return G[t], L_parts[t], a_terms, b_terms
+    def one_type(t: int) -> np.ndarray:
+        block = G[t]
+        A = np.zeros_like(block)
+        for u in by_source.get(t, ()):
+            E_tu = _error_block(state.E_R, object_spec, t, u)
+            A += rspace.project_relations(R_pairs.get((t, u)), E_tu,
+                                          G[u]) @ s_block(t, u).T
+        B = np.zeros((block.shape[1], block.shape[1]))
+        for u in by_target.get(t, ()):
+            S_ut = s_block(u, t)
+            B += S_ut.T @ grams[u] @ S_ut
+        L_pos, L_neg = L_parts[t]
+        A_pos, A_neg = split_parts(A)
+        B_pos, B_neg = split_parts(B)
+        numerator = lam * (L_neg @ block) + A_pos + block @ B_neg
+        denominator = lam * (L_pos @ block) + A_neg + block @ B_pos
+        ratio = safe_divide(numerator, denominator, eps=_EPS)
+        return row_normalize_l1(block * np.sqrt(ratio))
 
-    if engine is not None:
-        blocks = engine.membership_blocks(
-            [(t, *type_item(t)) for t in todo], lam=lam)
-    else:
-        items = [(*type_item(t), lam) for t in todo]
-        blocks = _map(pool, _membership_type_task, items, labels=todo,
-                      name="one_type")
+    blocks = _map(pool, one_type, todo)
     if dirty_types is None:
-        return list(blocks)
+        return blocks
     updated = list(G)
     for t, block in zip(todo, blocks):
         updated[t] = block
@@ -550,7 +446,7 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                                beta: float, zeta: float = 1e-10,
                                row_tol: float = 0.0, pairs=None,
                                pool=None, sparse: bool | None = None,
-                               dirty_types=None, E_prev=None, engine=None):
+                               dirty_types=None, E_prev=None):
     """Blockwise sample-wise sparse error matrix update (Eq. 25–27).
 
     The L2,1 row norm of object ``i`` of type ``t`` spans every cross-type
@@ -569,16 +465,9 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
     row types; every clean row type splices its rows of ``E_prev`` (the
     previous iterate's error matrix) through unchanged.  ``None`` solves
     every type from scratch — the pre-delta behaviour, unchanged.
-
-    With ``engine`` set the per-type residuals and row norms come from the
-    torch device (dense representation — the engine forces ``sparse=False``)
-    while the scalar shrinkage ``(β D + I)⁻¹`` runs on the host, shared
-    verbatim with the numpy path.
     """
     if pairs is None:
         pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
-    if engine is not None:
-        sparse = False
     if sparse is None:
         # The relations' representation decides (matching the global rule's
         # dispatch on R); only a relation-free dataset falls back to the
@@ -612,34 +501,51 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
         for t in todo:
             E_dense[object_spec.slice(t), :] = 0.0
 
-    mode = "sparse" if sparse else "dense"
-
-    def type_terms(t: int):
-        return [(u, R_pairs.get((t, u)),
-                 S[cluster_spec.slice(t), cluster_spec.slice(u)], G[u])
-                for u in by_source.get(t, ())]
-
-    if engine is not None:
-        results = []
-        for t in todo:
-            terms = type_terms(t)
-            if not terms:
-                results.append({})
-                continue
-            residuals, sq = engine.error_residuals((G[t], terms))
+    def one_type(t: int):
+        targets = by_source.get(t, ())
+        n_t = object_spec.sizes[t]
+        if not targets:
+            return (np.empty(0, dtype=np.int64),
+                    np.empty((0, n_total))) if sparse else {}
+        s_blocks = {u: S[cluster_spec.slice(t), cluster_spec.slice(u)]
+                    for u in targets}
+        if sparse:
+            factored = {u: G[t] @ s_blocks[u] for u in targets}
+            sq = np.zeros(n_t)
+            for u in targets:
+                sq += rspace.pair_residual_sq_row_norms(
+                    R_pairs.get((t, u)), G[t], s_blocks[u], G[u],
+                    M=factored[u])
             norms = np.sqrt(np.maximum(sq, 0.0))
             scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
-            scale[scale * norms <= floor] = 0.0
-            results.append({u: residual * scale[:, None]
-                            for u, residual in residuals.items()})
-    else:
-        col_slices = {u: object_spec.slice(u)
-                      for u in range(object_spec.n_types)}
-        items = [(mode, G[t], type_terms(t), beta, zeta, floor, n_total,
-                  col_slices, object_spec.offsets[t]) for t in todo]
-        results = _map(pool, _error_type_task, items, labels=todo,
-                       name="one_type")
+            rows = np.flatnonzero(scale * norms > floor)
+            values = np.zeros((rows.size, n_total))
+            for u in targets:
+                values[:, object_spec.slice(u)] = scale[rows, None] * (
+                    rspace.pair_residual_rows(R_pairs.get((t, u)), G[t],
+                                              s_blocks[u], G[u], rows,
+                                              M=factored[u]))
+            return rows + object_spec.offsets[t], values
+        residuals = {}
+        sq = np.zeros(n_t)
+        for u in targets:
+            reconstruction = (G[t] @ s_blocks[u]) @ G[u].T
+            block = R_pairs.get((t, u))
+            if block is None:
+                residual = -reconstruction
+            else:
+                if sp.issparse(block):
+                    block = block.toarray()
+                residual = block - reconstruction
+            residuals[u] = residual
+            sq += np.einsum("ij,ij->i", residual, residual)
+        norms = np.sqrt(np.maximum(sq, 0.0))
+        scale = _shrinkage_scale(norms, beta=beta, zeta=zeta)
+        scale[scale * norms <= floor] = 0.0
+        return {u: residual * scale[:, None]
+                for u, residual in residuals.items()}
 
+    results = _map(pool, one_type, todo)
     if not sparse:
         for t, blocks in zip(todo, results):
             t_rows = object_spec.slice(t)

@@ -113,6 +113,29 @@ def test_invalid_json_body_400(launch):
     assert document["code"] == "invalid_request"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_query_literal_400(launch, net_queries, value):
+    # json.dumps writes these as the bare NaN / Infinity literals, which
+    # Python's parser accepts; the server must refuse them, not predict.
+    handle = launch()
+    queries = net_queries[:1].tolist()
+    queries[0][0] = value
+    status, document, _ = _raw(
+        handle.host, handle.port, "POST", "/v1/predict",
+        {"model": "docs", "type": "points", "queries": queries})
+    assert status == 400
+    assert document["code"] == "invalid_request"
+    assert "NaN or infinite" in document["message"]
+    status, document, _ = _raw(
+        handle.host, handle.port, "POST", "/v1/predict",
+        {"model": "docs", "type": "points",
+         "queries": net_queries[:1].tolist()})
+    assert status == 200
+    assert len(document["labels"]) == 1
+
+
 def test_missing_required_field_400(launch, net_queries):
     handle = launch()
     status, document, _ = _raw(

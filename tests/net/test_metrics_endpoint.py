@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.diagnostics import RefreshPolicy
 from repro.net import NetClient

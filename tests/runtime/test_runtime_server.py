@@ -70,6 +70,25 @@ class TestCorrectness:
         assert stats.mean_batch_rows > 1
         assert stats.objects == len(query_batch)
 
+    def test_stats_count_a_request_before_its_future_settles(
+            self, server, runtime_model_path, query_batch):
+        # A caller woken by its future may read the stats at once (the HTTP
+        # tier answers /v1/metrics right after a predict), so the count
+        # must already include the request when the future settles.
+        seen = []
+        called = threading.Event()
+
+        def on_done(_future):
+            seen.append(server.stats.completed)
+            called.set()
+
+        future = server.submit(path=runtime_model_path, type_name="points",
+                               queries=query_batch[:2])
+        future.add_done_callback(on_done)
+        future.result(timeout=_WAIT)
+        assert called.wait(_WAIT)
+        assert seen == [1]
+
     def test_sharded_artifact_served_lazily(self, sharded_model_path,
                                             runtime_artifact, query_batch):
         with RuntimeServer(workers="serial", max_batch_size=16,

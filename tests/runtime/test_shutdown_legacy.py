@@ -1,10 +1,8 @@
-"""Shutdown cancellation semantics and the deprecated positional adapters."""
+"""Shutdown cancellation semantics and the keyword-only serving adapters."""
 
 from __future__ import annotations
 
 import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -76,43 +74,33 @@ def test_runtime_server_close_cancels_queued_requests(runtime_model_path,
                       queries=query_batch[:4])
 
 
-# ------------------------------------------------------ deprecation adapters
-def test_positional_predict_warns_and_still_works(runtime_model_path,
-                                                  query_batch):
-    with RuntimeServer(workers="serial") as server:
-        with pytest.warns(DeprecationWarning, match="RuntimeServer.predict"):
-            prediction = server.predict(str(runtime_model_path), "points",
-                                        query_batch[:4])
-    assert prediction.labels.shape == (4,)
+# -------------------------------------------------- keyword-only adapters
+_ADAPTERS = {
+    "BatchPredictor.predict": lambda: (BatchPredictor(), "predict"),
+    "RuntimeServer.predict": lambda: (RuntimeServer(workers="serial"),
+                                      "predict"),
+    "RuntimeServer.submit": lambda: (RuntimeServer(workers="serial"),
+                                     "submit"),
+}
 
 
-def test_keyword_predict_does_not_warn(runtime_model_path, query_batch):
-    with RuntimeServer(workers="serial") as server:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            prediction = server.predict(path=str(runtime_model_path),
-                                        type_name="points",
-                                        queries=query_batch[:4])
-    assert prediction.labels.shape == (4,)
-
-
-def test_batch_predictor_positional_warns(runtime_model_path, query_batch):
-    predictor = BatchPredictor()
-    with pytest.warns(DeprecationWarning, match="BatchPredictor.predict"):
-        positional = predictor.predict(str(runtime_model_path), "points",
-                                       query_batch[:4])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        keyword = predictor.predict(path=str(runtime_model_path),
-                                    type_name="points",
-                                    X_new=query_batch[:4])
-    np.testing.assert_array_equal(positional.labels, keyword.labels)
+@pytest.mark.parametrize("adapter", sorted(_ADAPTERS))
+def test_positional_call_raises_type_error(adapter, runtime_model_path,
+                                           query_batch):
+    owner, method = _ADAPTERS[adapter]()
+    try:
+        with pytest.raises(TypeError, match="positional"):
+            getattr(owner, method)(str(runtime_model_path), "points",
+                                   query_batch[:4])
+    finally:
+        if isinstance(owner, RuntimeServer):
+            owner.close()
 
 
 def test_legacy_adapters_agree_with_schema_serve(runtime_model_path,
                                                  query_batch):
-    # The deprecated surface is an adapter, not a parallel code path: the
-    # schema entry point and the legacy one must return identical arrays.
+    # The keyword surface is an adapter, not a parallel code path: the
+    # schema entry point and the keyword one must return identical arrays.
     predictor = BatchPredictor()
     request = PredictRequest(model=str(runtime_model_path),
                              type_name="points", queries=query_batch[:8])

@@ -69,18 +69,15 @@ class TestRoundTrip:
         assert loaded.type_names == blob_artifact.type_names
 
     def test_runtime_knobs_absent_from_sidecar(self, saved):
-        # n_jobs / diagnostics / executor / torch_device describe how one
-        # machine ran the fit, not what the model is — they must not be
-        # persisted, so the artifact loads identically anywhere (including
-        # torch-free hosts).
+        # n_jobs / diagnostics describe how one machine ran the fit, not
+        # what the model is — they must not be persisted, so the artifact
+        # loads identically anywhere.
         _, path = saved
         sidecar = json.loads(path.with_suffix(".json").read_text())
-        for knob in ("n_jobs", "diagnostics", "executor", "torch_device"):
+        for knob in ("n_jobs", "diagnostics"):
             assert knob not in sidecar["config"]
         loaded = RHCHMEModel.load(path)
         assert loaded.config.n_jobs == 1
-        assert loaded.config.executor == "thread"
-        assert loaded.config.torch_device == "auto"
 
 
 class TestSchemaRefusal:

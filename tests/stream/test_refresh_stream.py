@@ -8,7 +8,6 @@ telemetry) and the ``repro_refresh_*`` Prometheus gauges.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
