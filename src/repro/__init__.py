@@ -48,7 +48,7 @@ Subpackages
     CLI.
 ``repro.runtime``
     The async multi-worker serving runtime: dynamic micro-batching of
-    small requests, a pluggable thread/process/serial worker pool with
+    small requests, a thread worker pool (or serial in-line execution) with
     explicit backpressure, and incremental artifact refresh from warm
     starts.
 ``repro.net``

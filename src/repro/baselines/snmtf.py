@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.weights import WeightingScheme
-from ..manifold.ensemble import HeterogeneousManifoldEnsemble
+from ..manifold.ensemble import build_type_laplacians
 from ..relational.dataset import MultiTypeRelationalData
 from .base import BaseHOCC
 
@@ -60,8 +60,5 @@ class SNMTF(BaseHOCC):
 
     def build_regularizer(self, data: MultiTypeRelationalData) -> np.ndarray | None:
         """Block-diagonal Laplacian built from one p-NN graph per type."""
-        ensemble = HeterogeneousManifoldEnsemble(
-            alpha=0.0, p=self.p, weighting=self.weighting,
-            laplacian_kind=self.laplacian_kind,
-            use_subspace=False, use_pnn=True)
-        return ensemble.build(data)
+        return build_type_laplacians(data, p=self.p, weighting=self.weighting,
+                                     laplacian_kind=self.laplacian_kind)

@@ -82,17 +82,6 @@ class DirtySet:
                                    if count > 0),
                    full_sweep_every=full_sweep_every)
 
-    @classmethod
-    def from_drift(cls, scores, *, threshold: float,
-                   full_sweep_every: int = 0) -> "DirtySet":
-        """Dirty set from per-type drift scores (``{name: score}``).
-
-        Types whose score is ``None`` or below ``threshold`` stay clean.
-        """
-        dirty = frozenset(name for name, score in dict(scores).items()
-                          if score is not None and score >= threshold)
-        return cls(types=dirty, full_sweep_every=full_sweep_every)
-
     # ------------------------------------------------------------- algebra
     def __or__(self, other: "DirtySet") -> "DirtySet":
         if not isinstance(other, DirtySet):

@@ -161,8 +161,7 @@ class QueryIndex:
     -----
     A built index is immutable and safe to share across threads: the KD-tree
     query releases the GIL, so one cached index can serve a whole worker
-    pool (see :mod:`repro.runtime`).  It also pickles cleanly, so process
-    workers can receive a prebuilt index instead of rebuilding their own.
+    pool (see :mod:`repro.runtime`).
     """
 
     def __init__(self, reference: np.ndarray, *, algorithm: str = "auto") -> None:
@@ -180,15 +179,11 @@ class QueryIndex:
         """Number of reference objects."""
         return self.reference.shape[0]
 
-    def query(self, query_points: np.ndarray, p: int, *,
-              workers: int = 1) -> np.ndarray:
+    def query(self, query_points: np.ndarray, p: int) -> np.ndarray:
         """Return the ``(n_queries, p)`` nearest reference indices per query.
 
         No self-exclusion is applied (queries are a separate object set), so
-        ``p`` may go up to the reference size.  ``workers`` parallelises the
-        KD-tree search across that many OS threads (``-1`` uses every core);
-        the brute-force path ignores it — its inner products already use the
-        BLAS thread pool.
+        ``p`` may go up to the reference size.
         """
         queries = as_float_array(query_points, name="query_points", ndim=2)
         if queries.shape[1] != self.reference.shape[1]:
@@ -199,10 +194,8 @@ class QueryIndex:
         if p > self.n_reference:
             raise ValueError(
                 f"p={p} must not exceed the reference size ({self.n_reference})")
-        if workers != -1:
-            workers = check_positive_int(workers, name="workers")
         if self._tree is not None:
-            _, indices = self._tree.query(queries, k=p, workers=workers)
+            _, indices = self._tree.query(queries, k=p)
             return np.asarray(indices, dtype=np.int64).reshape(queries.shape[0], p)
         return _brute_force_query_indices(self.reference, queries, p)
 

@@ -30,8 +30,11 @@ immutable artifact and complete normally (the guarantee the runtime
 already makes in-process, preserved over the wire).
 
 The event loop never runs numerics: predicts are awaited through the
-runtime's worker-pool futures via ``asyncio.wrap_future``, so the loop
-stays free to admit, shed and answer health checks under load.
+runtime's futures via ``asyncio.wrap_future``, so the loop stays free to
+admit, shed and answer health checks under load.  The runtime's worker
+pool is the only concurrency layer under the loop: each coalesced batch
+is predicted start to finish on one thread (a pool thread, or the
+thread that flushed the batch under ``workers="serial"``).
 """
 
 from __future__ import annotations
@@ -160,11 +163,6 @@ class NetServer:
                            diagnostics=sidecar.get("diagnostics"))
         self._routes[model_id] = route
         return route
-
-    def unregister_model(self, model_id: str) -> None:
-        """Remove ``model_id`` from the routing table (in-flight finish)."""
-        if self._routes.pop(model_id, None) is None:
-            raise ModelNotFoundError(f"model {model_id!r} is not registered")
 
     @property
     def models(self) -> list[str]:

@@ -7,7 +7,7 @@
   requests and flushes on max-batch-size or max-latency deadline, so
   batch-1 traffic rides the ×15 batched hot path;
 * :class:`RuntimeServer` — the async front-end: per-request futures, a
-  pluggable worker pool (``workers="thread" | "process" | "serial"``) and
+  thread worker pool (or in-line execution, ``workers="serial"``) and
   explicit backpressure (bounded queue,
   :class:`~repro.exceptions.QueueFullError`);
 * :func:`refresh_model` / :meth:`RuntimeServer.refresh` — incremental

@@ -132,9 +132,9 @@ def _shard_stem(stem: str, label: str) -> str:
 def _write_npz_atomic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Write a compressed npz via a temp file + atomic rename.
 
-    A concurrent reader (lazy shard reader in another process, a process
-    worker cold-loading during a refresh) sees either the complete old file
-    or the complete new file, never a truncated one.  The temp file is
+    A concurrent reader (a lazy shard reader in another process, or one
+    cold-loading a shard during a refresh) sees either the complete old
+    file or the complete new file, never a truncated one.  The temp file is
     opened explicitly so numpy does not append a second ``.npz`` suffix.
     """
     tmp = path.with_name(path.name + ".tmp")
@@ -255,20 +255,6 @@ class RHCHMEModel:
         # dominate single-object latencies).  A plain cache, not state: the
         # artifact's arrays stay immutable.  The lock makes the build
         # single-flight when worker threads race on a cold type.
-        object.__setattr__(self, "_query_indexes", {})
-        object.__setattr__(self, "_index_lock", threading.Lock())
-
-    def __getstate__(self) -> dict:
-        # The index cache rebuilds lazily and the lock is process-local;
-        # dropping both keeps the artifact picklable for process workers.
-        state = self.__dict__.copy()
-        state.pop("_query_indexes", None)
-        state.pop("_index_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
         object.__setattr__(self, "_query_indexes", {})
         object.__setattr__(self, "_index_lock", threading.Lock())
 
@@ -426,8 +412,7 @@ class RHCHMEModel:
 
     # ------------------------------------------------------------- prediction
     def predict(self, type_name: str, X_new, *, batch_size: int = 256,
-                backend: str | None = None,
-                n_jobs: int | None = None) -> Prediction:
+                backend: str | None = None) -> Prediction:
         """Assign new objects of ``type_name`` out of sample.
 
         Computes the queries' p-NN affinities to the type's training objects
@@ -436,10 +421,6 @@ class RHCHMEModel:
         :func:`repro.serve.extension.out_of_sample_predict`.  ``backend``
         overrides the fitted config's knob (useful for benchmarking); by
         default the config's backend is resolved against the training size.
-        ``n_jobs`` threads the micro-batches (``-1`` = all CPUs); it
-        defaults to the in-memory config's knob, which is always ``1`` for
-        loaded artifacts — n_jobs is a runtime knob and is deliberately not
-        persisted, so serving processes opt into parallelism here.
         """
         info = self.type_info(type_name)
         X_new = check_query_features(info, X_new)
@@ -449,8 +430,7 @@ class RHCHMEModel:
         return out_of_sample_predict(
             self.features[type_name], self.membership[type_name], X_new,
             p=self.config.p, weighting=self.config.weighting,
-            backend=resolved, batch_size=batch_size, index=index,
-            n_jobs=self.config.n_jobs if n_jobs is None else n_jobs)
+            backend=resolved, batch_size=batch_size, index=index)
 
     # ------------------------------------------------------------ persistence
     def _config_dict(self) -> dict:

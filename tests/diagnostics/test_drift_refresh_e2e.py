@@ -138,6 +138,3 @@ class TestControlLoopValidation:
             RuntimeServer(workers="serial",
                           refresh_policy=RefreshPolicy(threshold=1.0))
 
-    def test_diagnostics_rejected_for_process_workers(self):
-        with pytest.raises(ValidationError, match="process"):
-            RuntimeServer(workers="process", n_workers=1, diagnostics=True)
