@@ -6,14 +6,9 @@ membership update as per-type kernels; the global path stacks G into one
 iteration.  Three measurements per total object count N:
 
 * **G-update phase timing** — repeated membership updates (Eq. 21) through
-  the global kernel and through the blocked kernel at each ``--n-jobs``
-  setting.  The blocked per-type tasks are independent, so with spare cores
-  ``n_jobs > 1`` buys wall-clock; the report records the machine's
-  available CPU count and only interprets the scaling ratio when there is
-  actual parallel hardware (on a single-core runner outer threading cannot
-  beat the serial loop and the parallel gate is recorded as inapplicable).
+  the global kernel and through the blocked kernel.
 * **peak G-side memory** — :mod:`tracemalloc` peak of one membership
-  update, global vs blocked (serial).  The stacked path allocates its
+  update, global vs blocked.  The stacked path allocates its
   A/B/ratio/mask transients at ``(N, C)``; the blocked path at
   ``(n_t, c_t)`` — an ``n_types×``-and-more reduction that is pure
   structure, no approximation.  Gate: **≥ 2× reduction** at the largest N.
@@ -23,8 +18,8 @@ iteration.  Three measurements per total object count N:
   the benchmark fails outright, on the principle that a speedup over a
   different optimisation is meaningless.
 
-BLAS threading is pinned to one thread (before numpy loads) so the
-``n_jobs`` ablation measures the solver's own fan-out, not the BLAS pool's.
+BLAS threading is pinned to one thread (before numpy loads) so the phase
+timing compares the two kernels, not the BLAS pool's scheduling.
 
 Usage::
 
@@ -55,7 +50,6 @@ bootstrap_sys_path()
 
 from repro.core import RHCHME  # noqa: E402
 from repro.core.objective import evaluate_objective  # noqa: E402
-from repro.core.parallel import TypeWorkPool  # noqa: E402
 from repro.core.state import initialize_state  # noqa: E402
 from repro.core.updates import (update_association, update_association_blocks,  # noqa: E402
                                 update_error_matrix, update_membership,
@@ -74,11 +68,6 @@ LAM = 250.0
 BETA = 50.0
 PARITY_RTOL = 1e-6
 PARITY_ITERS = 4
-#: Smallest total object count at which the n_jobs scaling gate applies:
-#: below this the per-type G-update tasks are so small (tens of rows) that
-#: thread dispatch overhead legitimately exceeds the task work and "threads
-#: don't win" is the *correct* measurement, not a regression.
-PARALLEL_GATE_MIN_N = 1000
 
 
 def make_multitype(n_total: int, *, n_types: int = N_TYPES,
@@ -156,8 +145,8 @@ def _global_shim(state, R_pairs, L_blocks):
 
 
 def time_g_update_phase(data: MultiTypeRelationalData, *, n_iters: int,
-                        n_jobs_list, seed: int) -> dict:
-    """Time the membership-update phase: global kernel vs blocked at each n_jobs."""
+                        seed: int) -> dict:
+    """Time the membership-update phase: global kernel vs blocked."""
     L_blocks, L_parts, R_pairs, pairs, state = _prepare(data, seed=seed)
     R, L, parts, shim = _global_shim(state, R_pairs, L_blocks)
     initial_blocks = [block.copy() for block in state.G_blocks]
@@ -167,15 +156,12 @@ def time_g_update_phase(data: MultiTypeRelationalData, *, n_iters: int,
         shim.G = update_membership(R, L, shim, lam=LAM, parts=parts)
     global_seconds = time.perf_counter() - start
 
-    blocked: dict[int, float] = {}
-    for n_jobs in n_jobs_list:
-        state.G_blocks = [block.copy() for block in initial_blocks]
-        with TypeWorkPool(n_jobs) as pool:
-            start = time.perf_counter()
-            for _ in range(n_iters):
-                state.G_blocks = update_membership_blocks(
-                    R_pairs, L_parts, state, lam=LAM, pairs=pairs, pool=pool)
-            blocked[n_jobs] = time.perf_counter() - start
+    state.G_blocks = [block.copy() for block in initial_blocks]
+    start = time.perf_counter()
+    for _ in range(n_iters):
+        state.G_blocks = update_membership_blocks(
+            R_pairs, L_parts, state, lam=LAM, pairs=pairs)
+    blocked_seconds = time.perf_counter() - start
 
     # Untimed tracemalloc pass (tracemalloc inflates allocation-heavy code):
     # peak additional memory of one update through each path.
@@ -191,14 +177,11 @@ def time_g_update_phase(data: MultiTypeRelationalData, *, n_iters: int,
     _, blocked_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    serial = blocked[min(n_jobs_list)]
-    most = blocked[max(n_jobs_list)]
     return {
         "n_iters": int(n_iters),
         "global_seconds": round(global_seconds, 6),
-        "blocked_seconds": {str(k): round(v, 6) for k, v in blocked.items()},
-        "speedup_blocked_serial_vs_global": round(global_seconds / serial, 3),
-        "njobs_speedup": round(serial / most, 3),
+        "blocked_seconds": round(blocked_seconds, 6),
+        "speedup_blocked_vs_global": round(global_seconds / blocked_seconds, 3),
         "global_peak_bytes": int(global_peak),
         "blocked_peak_bytes": int(blocked_peak),
         "memory_ratio_global_over_blocked": round(
@@ -244,8 +227,7 @@ def check_parity(data: MultiTypeRelationalData, *, backend: str,
             "max_relative_gap": gap}
 
 
-def run(sizes, *, n_iters: int, n_jobs_list, seed: int) -> dict:
-    cpus = os.cpu_count() or 1
+def run(sizes, *, n_iters: int, seed: int) -> dict:
     results = []
     for n_total in sizes:
         data = make_multitype(n_total, seed=seed)
@@ -253,29 +235,24 @@ def run(sizes, *, n_iters: int, n_jobs_list, seed: int) -> dict:
               flush=True)
         entry = {"n_total": int(n_total), "n_types": N_TYPES,
                  "g_update": time_g_update_phase(data, n_iters=n_iters,
-                                                 n_jobs_list=n_jobs_list,
                                                  seed=seed)}
         entry["parity"] = [check_parity(data, backend=backend, seed=seed)
                            for backend in ("dense", "sparse")]
         results.append(entry)
         phase = entry["g_update"]
-        print(f"[bench] N={n_total}: blocked ×{phase['speedup_blocked_serial_vs_global']} "
-              f"vs global (serial), n_jobs scaling ×{phase['njobs_speedup']}, "
-              f"G-side memory ×{phase['memory_ratio_global_over_blocked']} smaller, "
+        print(f"[bench] N={n_total}: blocked ×{phase['speedup_blocked_vs_global']} "
+              f"vs global, G-side memory ×{phase['memory_ratio_global_over_blocked']} smaller, "
               f"parity gap ≤ {max(p['max_relative_gap'] for p in entry['parity']):.1e}",
               flush=True)
 
     largest = results[-1]
     phase = largest["g_update"]
-    parallel_applicable = cpus >= 2 and largest["n_total"] >= PARALLEL_GATE_MIN_N
     return {
         "benchmark": "rhchme-blocks",
         **environment_metadata(),
-        "available_cpus": int(cpus),
         "sizes": [int(n) for n in sizes],
         "n_types": N_TYPES,
         "n_clusters_per_type": N_CLUSTERS,
-        "n_jobs_list": [int(j) for j in n_jobs_list],
         "lam": LAM,
         "beta": BETA,
         "parity_rtol": PARITY_RTOL,
@@ -286,17 +263,7 @@ def run(sizes, *, n_iters: int, n_jobs_list, seed: int) -> dict:
                 phase["memory_ratio_global_over_blocked"],
             "meets_2x_memory_target": bool(
                 phase["memory_ratio_global_over_blocked"] >= 2.0),
-            "speedup_blocked_serial_vs_global":
-                phase["speedup_blocked_serial_vs_global"],
-            "njobs_speedup": phase["njobs_speedup"],
-            # Outer-thread scaling needs parallel hardware AND tasks big
-            # enough to amortise dispatch: on a 1-CPU machine (or at smoke
-            # sizes, where a type block is tens of rows) the honest
-            # expectation for n_jobs>1 is "no better", so the gate only
-            # applies with >= 2 CPUs at N >= PARALLEL_GATE_MIN_N.
-            "parallel_gate_applicable": bool(parallel_applicable),
-            "parallel_gate_min_n": int(PARALLEL_GATE_MIN_N),
-            "njobs_beats_serial": bool(phase["njobs_speedup"] > 1.0),
+            "speedup_blocked_vs_global": phase["speedup_blocked_vs_global"],
             "parity_max_relative_gap": max(
                 p["max_relative_gap"]
                 for entry in results for p in entry["parity"]),
@@ -309,34 +276,24 @@ def main(argv=None) -> int:
         __doc__, "BENCH_blocks.json",
         sizes_help=f"total object counts to benchmark (default {DEFAULT_SIZES})",
         with_check="exit non-zero unless the ≥2× G-side memory reduction "
-                   "holds (and, on multi-core machines, n_jobs>1 beats "
-                   "serial on the G-update phase)")
+                   "holds")
     parser.add_argument("--iters", type=int, default=20,
                         help="membership updates per phase timing")
-    parser.add_argument("--n-jobs", type=int, nargs="+", default=[1, 4],
-                        help="n_jobs settings to time the blocked phase at")
     args = parser.parse_args(argv)
 
     sizes = select_sizes(args, DEFAULT_SIZES, SMOKE_SIZES)
-    report = run(sizes, n_iters=args.iters, n_jobs_list=sorted(args.n_jobs),
-                 seed=args.seed)
+    report = run(sizes, n_iters=args.iters, seed=args.seed)
     emit_report(report, args)
     summary = report["summary"]
     print(f"[bench] largest N={summary['largest_n']}: G-side memory "
           f"×{summary['memory_ratio_global_over_blocked']} smaller blocked "
           f"(target ≥2: {'PASS' if summary['meets_2x_memory_target'] else 'MISS'}), "
-          f"blocked serial ×{summary['speedup_blocked_serial_vs_global']} vs "
-          f"global, n_jobs scaling ×{summary['njobs_speedup']} "
-          f"({report['available_cpus']} CPUs), parity gap "
+          f"blocked ×{summary['speedup_blocked_vs_global']} vs global, "
+          f"parity gap "
           f"{summary['parity_max_relative_gap']:.2e}")
     if args.check:
-        code = gate(summary["meets_2x_memory_target"],
+        return gate(summary["meets_2x_memory_target"],
                     "blocked G-side memory reduction below the 2x gate")
-        if code == 0 and summary["parallel_gate_applicable"]:
-            code = gate(summary["njobs_beats_serial"],
-                        "n_jobs>1 did not beat serial on the G-update phase "
-                        "despite multiple CPUs")
-        return code
     return 0
 
 

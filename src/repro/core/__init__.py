@@ -12,9 +12,8 @@ normalisation), and the sample-wise sparse error matrix E_R (Eq. 27), with
 
 The solver core is *blocked*: G lives as per-type membership blocks, L as
 per-type Laplacian blocks, R and E_R as per-pair cross-type blocks, and the
-updates run as per-type / per-pair kernels (optionally threaded across a
-``RHCHMEConfig(n_jobs=...)`` worker pool).  The global stacked matrices are
-compatibility adapters, never hot-path storage.
+updates run as serial loops of per-type / per-pair kernels.  The global
+stacked matrices are compatibility adapters, never hot-path storage.
 
 * :mod:`repro.core.config` — :class:`RHCHMEConfig`, every tunable in one place.
 * :mod:`repro.core.objective` — objective evaluation and its decomposition
@@ -26,7 +25,6 @@ compatibility adapters, never hot-path storage.
 * :mod:`repro.core.state` — blocked factorisation state and initialisation.
 * :mod:`repro.core.schedule` — delta scheduling (:class:`DirtySet`): which
   blocks an incremental refit recomputes and which stay frozen.
-* :mod:`repro.core.parallel` — the per-type/per-pair thread pool.
 * :mod:`repro.core.convergence` — iteration history bookkeeping.
 * :mod:`repro.core.rhchme` — the :class:`RHCHME` estimator (Algorithm 2).
 """
@@ -34,7 +32,6 @@ compatibility adapters, never hot-path storage.
 from .config import RHCHMEConfig
 from .convergence import IterationRecord, TraceRecorder
 from .objective import ObjectiveBreakdown, evaluate_objective, evaluate_objective_blocks
-from .parallel import TypeWorkPool
 from .rhchme import RHCHME, RHCHMEResult
 from .schedule import DeltaSchedule, DirtySet
 from .state import FactorizationState, initialize_state
@@ -52,7 +49,6 @@ __all__ = [
     "RHCHMEConfig",
     "RHCHMEResult",
     "TraceRecorder",
-    "TypeWorkPool",
     "evaluate_objective",
     "evaluate_objective_blocks",
     "initialize_state",

@@ -87,8 +87,8 @@ def _type_l21(E_R, object_spec, t: int) -> float:
 
 
 def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
-                              beta: float, pairs=None, pool=None,
-                              schedule=None, sweep: bool = False,
+                              beta: float, pairs=None, schedule=None,
+                              sweep: bool = False,
                               cache=None) -> ObjectiveBreakdown:
     """Blockwise evaluation of Eq. 15 — no global matrix is ever assembled.
 
@@ -96,8 +96,8 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
     sum of per-pair residual norms ``‖R_tu − G_t S_tu G_uᵀ − E_tu‖²_F``
     (the diagonal blocks are structural zeros), the smoothness a sum of
     per-type traces ``tr(G_tᵀ L_t G_t)``, and the L2,1 term reads the
-    global E_R representation directly.  Pair and type tasks are
-    independent and fan out across ``pool``.
+    global E_R representation directly.  Each pair and each type is one
+    kernel task.
 
     Parameters
     ----------
@@ -111,7 +111,10 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         over (clean types without sweeps) — their constant smoothness
         contribution is omitted from the trace.
     pairs:
-        Active ordered pairs (defaults to the keys of ``R_pairs``).
+        Active ordered pairs.  Defaults to
+        :func:`~repro.core.updates.active_relation_pairs` — the relation
+        pairs plus any block the error matrix carries mass on, the same
+        default as the update kernels.
     schedule, sweep, cache:
         Delta-evaluation mode: with a
         :class:`~repro.core.schedule.DeltaSchedule` and a (mutable) term
@@ -121,10 +124,11 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
         term.  Either argument ``None`` runs the full evaluation exactly
         as before.
     """
-    from .updates import _error_block, _map  # local: avoids an import cycle
+    # local: avoids an import cycle
+    from .updates import _error_block, _map, active_relation_pairs
 
     if pairs is None:
-        pairs = sorted(R_pairs)
+        pairs = active_relation_pairs(R_pairs, state.E_R, state.object_spec)
     G = state.G_blocks
     S = state.S
     object_spec = state.object_spec
@@ -142,7 +146,7 @@ def evaluate_objective_blocks(R_pairs, state, L_blocks, *, lam: float,
 
     def evaluate_terms(eval_pairs, eval_types):
         """Per-pair reconstruction and per-type smoothness term values."""
-        return _map(pool, one_pair, eval_pairs), _map(pool, one_type, eval_types)
+        return _map(one_pair, eval_pairs), _map(one_type, eval_types)
 
     if schedule is None or cache is None:
         pair_values, type_values = evaluate_terms(

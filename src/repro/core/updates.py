@@ -217,35 +217,27 @@ def update_error_matrix(R, state: FactorizationState, *, beta: float,
 # update rules above — algebraically identical (the global updates reduce
 # to them exactly because the off-block entries are structural zeros), but
 # without the ``n_types×`` memory and work inflation of the stacked
-# matrices, and with every independent task fan-out-able across a
-# :class:`repro.core.parallel.TypeWorkPool`.
+# matrices.
 
 
-def _map(pool, fn, items):
-    """Ordered map through an optional :class:`TypeWorkPool` (serial if None).
+def _map(fn, items):
+    """Apply a blockwise kernel to every item, in order.
 
-    When a fit-trace span is active on the calling thread (the solver
-    activates one per update family under ``diagnostics=True``), every
-    kernel invocation is recorded as a completed child of it — with
-    explicit timestamps, because the pool's worker threads do not inherit
-    the caller's contextvar and :meth:`repro.obs.Span.record` is the
-    thread-safe way in.  The span is named after the kernel and labelled
-    with its item (a type index or an ordered type pair).
+    When a fit-trace span is active (the solver activates one per update
+    family under ``diagnostics=True``), every kernel invocation is recorded
+    as a completed child of it, named after the kernel and labelled with
+    its item (a type index or an ordered type pair).
     """
     parent = current_span()
-    if parent is not None:
-        kernel = fn
-        name = getattr(kernel, "__name__", "kernel")
-
-        def fn(item, _kernel=kernel, _name=name):
-            start = time.perf_counter()
-            result = _kernel(item)
-            parent.record(_name, start, time.perf_counter(), item=str(item))
-            return result
-
-    if pool is None:
+    if parent is None:
         return [fn(item) for item in items]
-    return pool.map(fn, items)
+    name = getattr(fn, "__name__", "kernel")
+    results = []
+    for item in items:
+        start = time.perf_counter()
+        results.append(fn(item))
+        parent.record(name, start, time.perf_counter(), item=str(item))
+    return results
 
 
 def _error_block(E_R, object_spec, t: int, u: int):
@@ -288,7 +280,7 @@ def active_relation_pairs(R_pairs, E_R, object_spec) -> list[tuple[int, int]]:
 
 
 def update_association_blocks(R_pairs, state: FactorizationState, *,
-                              pairs=None, pool=None, dirty_pairs=None,
+                              pairs=None, dirty_pairs=None,
                               S_prev=None) -> np.ndarray:
     """Blockwise closed-form S update (Eq. 18).
 
@@ -300,8 +292,7 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
     type-index pairs to relation blocks (dense or CSR); pairs absent from
     both ``R_pairs`` and ``pairs`` contribute nothing.
 
-    The pairs fan out across ``pool``; each evaluates its pseudo-inverse
-    sandwich as ``P_t (C_tu P_u)``.
+    Each pair evaluates its pseudo-inverse sandwich as ``P_t (C_tu P_u)``.
 
     Under a delta schedule ``dirty_pairs`` restricts the solve to the
     pairs whose factors moved; clean blocks carry over from ``S_prev``
@@ -336,13 +327,13 @@ def update_association_blocks(R_pairs, state: FactorizationState, *,
         for t in range(cluster_spec.n_types):
             block = cluster_spec.slice(t)
             S[block, block] = 0.0
-    for (t, u), block in zip(compute, _map(pool, one_pair, compute)):
+    for (t, u), block in zip(compute, _map(one_pair, compute)):
         S[cluster_spec.slice(t), cluster_spec.slice(u)] = block
     return S
 
 
 def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
-                             lam: float, pairs=None, pool=None,
+                             lam: float, pairs=None,
                              dirty_types=None) -> list[np.ndarray]:
     """Blockwise multiplicative G update (Eq. 21–22), one task per type.
 
@@ -352,7 +343,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
     ever formed, and the block mask of the global rule is structural here.
     ``L_parts`` supplies the per-type ``(L_t⁺, L_t⁻)`` splits (loop-invariant,
     computed once per fit).  Types are independent given the other factors,
-    so they thread across ``pool``.
+    so each is one kernel task.
 
     ``dirty_types`` (a set of type indices) restricts the update to those
     types; every clean type's block object is returned *as is* — frozen,
@@ -401,7 +392,7 @@ def update_membership_blocks(R_pairs, L_parts, state: FactorizationState, *,
         ratio = safe_divide(numerator, denominator, eps=_EPS)
         return row_normalize_l1(block * np.sqrt(ratio))
 
-    blocks = _map(pool, one_type, todo)
+    blocks = _map(one_type, todo)
     if dirty_types is None:
         return blocks
     updated = list(G)
@@ -445,7 +436,7 @@ def _carried_error_rows(E_prev, object_spec, t: int, n_total: int):
 def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
                                beta: float, zeta: float = 1e-10,
                                row_tol: float = 0.0, pairs=None,
-                               pool=None, sparse: bool | None = None,
+                               sparse: bool | None = None,
                                dirty_types=None, E_prev=None):
     """Blockwise sample-wise sparse error matrix update (Eq. 25–27).
 
@@ -545,7 +536,7 @@ def update_error_matrix_blocks(R_pairs, state: FactorizationState, *,
         return {u: residual * scale[:, None]
                 for u, residual in residuals.items()}
 
-    results = _map(pool, one_type, todo)
+    results = _map(one_type, todo)
     if not sparse:
         for t, blocks in zip(todo, results):
             t_rows = object_spec.slice(t)

@@ -436,14 +436,8 @@ class RHCHMEModel:
     def _config_dict(self) -> dict:
         config = asdict(self.config)
         config["weighting"] = self.config.weighting.value
-        # n_jobs is a runtime execution knob (how many threads compute the
-        # blocks), not a model parameter: it never changes the fitted
-        # factors or predictions.  Keeping it out of the sidecar means the
-        # artifact layout is unchanged and pre-n_jobs readers still load
-        # current artifacts; loaded models default to serial execution.
-        config.pop("n_jobs", None)
-        # diagnostics is the same kind of run-time knob: whether a fit
-        # recorded health metrics never changes the factors, and the
+        # diagnostics is a run-time knob, not a model parameter: whether a
+        # fit recorded health metrics never changes the factors, and the
         # recorded metrics live in the sidecar's own diagnostics section.
         config.pop("diagnostics", None)
         return config

@@ -14,8 +14,6 @@ relationships the p-NN graph misses.
 * :mod:`repro.subspace.spg` — generic non-monotone SPG solver on a convex set.
 * :mod:`repro.subspace.representation` — the subspace representation problem
   and its solver wrapper (:class:`SubspaceRepresentation`).
-* :mod:`repro.subspace.reference` — compact SSC/LRR-style reference solvers
-  used as diagnostics and in ablation benchmarks.
 """
 
 from .spg import SPGResult, spg_minimize
@@ -26,16 +24,13 @@ from .representation import (
     subspace_objective,
     subspace_objective_gradient,
 )
-from .reference import lrr_shrinkage_affinity, ssc_affinity
 
 __all__ = [
     "SPGResult",
     "SubspaceRepresentation",
     "SubspaceResult",
     "learn_subspace_affinity",
-    "lrr_shrinkage_affinity",
     "spg_minimize",
-    "ssc_affinity",
     "subspace_objective",
     "subspace_objective_gradient",
 ]

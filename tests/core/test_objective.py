@@ -61,3 +61,50 @@ class TestEvaluateObjective:
         assert breakdown.reconstruction >= 0
         assert breakdown.error_sparsity >= 0
         assert breakdown.graph_smoothness >= -1e-9
+
+
+class TestEvaluateObjectiveBlocks:
+    def test_default_pairs_match_global_with_error_only_block(self):
+        """Error mass on a relation-free pair still counts by default."""
+        import scipy.linalg
+        from repro.core.objective import evaluate_objective_blocks
+        from repro.core.state import initialize_state
+        from repro.graph.laplacian import unnormalized_laplacian
+        from repro.relational.dataset import MultiTypeRelationalData
+        from repro.relational.types import ObjectType, Relation
+
+        # A star a-b, a-c leaves the (b, c) pair with no observed relation.
+        rng = np.random.default_rng(0)
+        sizes = {"a": 20, "b": 15, "c": 12}
+        types = [ObjectType(name, n_objects=n, n_clusters=3)
+                 for name, n in sizes.items()]
+        data = MultiTypeRelationalData(
+            types, [Relation("a", "b", rng.random((20, 15))),
+                    Relation("a", "c", rng.random((20, 12)))])
+        R_pairs = data.relation_blocks(normalize=True)
+        state = initialize_state(data, R_pairs, init="random",
+                                 random_state=0)
+        spec = state.object_spec
+        t, u = 1, 2
+        assert (t, u) not in R_pairs
+        E_R = np.zeros((spec.total, spec.total))
+        E_R[spec.slice(t), spec.slice(u)] = 0.05 * rng.random(
+            (sizes["b"], sizes["c"]))
+        state.E_R = E_R
+        L_blocks = []
+        for n in sizes.values():
+            affinity = rng.random((n, n))
+            affinity = (affinity + affinity.T) / 2
+            np.fill_diagonal(affinity, 0.0)
+            L_blocks.append(unnormalized_laplacian(affinity))
+
+        lam, beta = 2.0, 3.0
+        blocked = evaluate_objective_blocks(R_pairs, state, L_blocks,
+                                            lam=lam, beta=beta)
+        reference = evaluate_objective(
+            data.inter_type_matrix(normalize=True), state.G, state.S,
+            state.E_R, scipy.linalg.block_diag(*L_blocks), lam=lam,
+            beta=beta)
+        for term in ("reconstruction", "error_sparsity", "graph_smoothness"):
+            assert getattr(blocked, term) == pytest.approx(
+                getattr(reference, term), rel=1e-10)

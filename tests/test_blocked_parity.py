@@ -2,12 +2,10 @@
 
 The PR-5 refactor moved ``RHCHME.fit`` onto the blocked solver core:
 per-type G blocks, per-type Laplacians, per-pair relations and blockwise
-S / G / E_R / objective kernels, optionally threaded across ``n_jobs``
-workers.  The global kernels remain (baselines and adapters use them), so
-the contract is checkable directly: a blocked fit must reproduce the
-global-kernel reference loop — same labels, same per-term objective
-trajectory — on every ``backend × n_jobs`` combination, and the thread
-count must never change a single bit of the result.
+S / G / E_R / objective kernels.  The global kernels remain (baselines
+and adapters use them), so the contract is checkable directly: a blocked
+fit must reproduce the global-kernel reference loop — same labels, same
+per-term objective trajectory — on both backends.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ def multi5_small():
 
 @pytest.fixture(scope="module")
 def fits(multi5_small):
-    return {(backend, n_jobs): RHCHME(max_iter=MAX_ITER, random_state=SEED,
-                                      backend=backend, n_jobs=n_jobs
-                                      ).fit(multi5_small)
-            for backend in ("dense", "sparse") for n_jobs in (1, 2)}
+    return {backend: RHCHME(max_iter=MAX_ITER, random_state=SEED,
+                            backend=backend).fit(multi5_small)
+            for backend in ("dense", "sparse")}
 
 
 def _global_reference_trace(data, *, backend: str, config) -> dict:
@@ -79,7 +76,7 @@ class TestBlockedGlobalParity:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_per_term_trajectories_match_global_kernels(self, multi5_small,
                                                         fits, backend):
-        blocked = fits[(backend, 1)]
+        blocked = fits[backend]
         reference = _global_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER).config)
@@ -90,7 +87,7 @@ class TestBlockedGlobalParity:
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_labels_match_global_kernels(self, multi5_small, fits, backend):
-        blocked = fits[(backend, 1)]
+        blocked = fits[backend]
         reference = _global_reference_trace(
             multi5_small, backend=backend,
             config=RHCHME(max_iter=MAX_ITER).config)
@@ -98,48 +95,19 @@ class TestBlockedGlobalParity:
             np.testing.assert_array_equal(blocked.labels[name], labels)
 
 
-class TestNJobsInvariance:
-    """n_jobs only changes which thread computes a block, never the numbers."""
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_trajectories_bit_identical_across_n_jobs(self, fits, backend):
-        serial = fits[(backend, 1)]
-        threaded = fits[(backend, 2)]
-        np.testing.assert_array_equal(serial.trace.objectives,
-                                      threaded.trace.objectives)
-        for term in TERMS:
-            np.testing.assert_array_equal(serial.trace.terms_series(term),
-                                          threaded.trace.terms_series(term))
-
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_factors_bit_identical_across_n_jobs(self, fits, backend):
-        serial = fits[(backend, 1)]
-        threaded = fits[(backend, 2)]
-        for a, b in zip(serial.state.G_blocks, threaded.state.G_blocks):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(serial.state.S, threaded.state.S)
-        np.testing.assert_array_equal(np.asarray(serial.state.E_R),
-                                      np.asarray(threaded.state.E_R))
-        for name in serial.labels:
-            np.testing.assert_array_equal(serial.labels[name],
-                                          threaded.labels[name])
-
-
 class TestCrossBackendParity:
-    """Dense × n_jobs and sparse × n_jobs all describe one optimisation."""
+    """Dense and sparse describe one optimisation."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_labels_identical_across_backends(self, fits, n_jobs):
-        dense = fits[("dense", n_jobs)]
-        sparse = fits[("sparse", n_jobs)]
+    def test_labels_identical_across_backends(self, fits):
+        dense = fits["dense"]
+        sparse = fits["sparse"]
         for name in dense.labels:
             np.testing.assert_array_equal(sparse.labels[name],
                                           dense.labels[name])
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_per_term_trajectories_across_backends(self, fits, n_jobs):
-        dense = fits[("dense", n_jobs)]
-        sparse = fits[("sparse", n_jobs)]
+    def test_per_term_trajectories_across_backends(self, fits):
+        dense = fits["dense"]
+        sparse = fits["sparse"]
         for term in TERMS:
             np.testing.assert_allclose(sparse.trace.terms_series(term),
                                        dense.trace.terms_series(term),
@@ -190,7 +158,7 @@ class TestWarmStartRefreshThroughBlockedState:
                         use_subspace_member=False, track_metrics_every=0)
         result = fitted.fit(fitted_data)
         model = result.to_model(fitted_data, fitted.config)
-        outcome = refresh_model(model, grown_data, max_iter=10, n_jobs=2)
+        outcome = refresh_model(model, grown_data, max_iter=10)
         assert outcome.n_new_objects == 30
         refreshed = outcome.result
         assert refreshed.extras["warm_start"] is True
