@@ -94,7 +94,7 @@ def main() -> None:
     # ------------------------------------- 4. concurrent clients + parity
     over_http = NetClient(handle.host, handle.port).predict(
         "points-model", "points", stream[:32])
-    in_process = BatchPredictor(lazy_shards=True).serve(PredictRequest(
+    in_process = BatchPredictor().serve(PredictRequest(
         model=str(path), type_name="points", queries=stream[:32]))
     np.testing.assert_array_equal(over_http.labels, in_process.labels)
     np.testing.assert_array_equal(over_http.membership,

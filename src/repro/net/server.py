@@ -7,8 +7,8 @@ dependency-free HTTP/1.1 implementation on asyncio streams:
   JSON document in, a :class:`~repro.net.schema.PredictResponse` (or
   :class:`~repro.net.schema.ErrorResponse`) document out;
 * ``GET /v1/models`` / ``GET /v1/stats`` / ``GET /v1/health`` —
-  routing table, cumulative counters (runtime, predictor, per-model,
-  adaptive-controller snapshot) and liveness;
+  routing table, cumulative counters (runtime, predictor, per-model)
+  and liveness;
 * ``POST /v1/drain`` — stop admitting, wait for in-flight requests to
   settle, respond when drained.
 
@@ -99,8 +99,8 @@ class NetServer:
     runtime:
         The :class:`~repro.runtime.RuntimeServer` to serve through.  When
         omitted, one is constructed from ``runtime_kwargs`` (e.g.
-        ``workers=\"thread\"``, ``batch_policy=AdaptiveBatchController()``)
-        and owned — closed when the server shuts down.
+        ``workers=\"thread\"``, ``max_batch_size=64``) and owned —
+        closed when the server shuts down.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
@@ -431,27 +431,14 @@ class NetServer:
             None
 
     def _stats_document(self) -> dict:
-        policy = self.runtime.batch_policy
-        snapshot = getattr(policy, "snapshot", None)
-        document = {
+        return {
             "schema_version": WIRE_SCHEMA_VERSION,
             "draining": self._draining,
             "runtime": self.runtime.stats.as_dict(),
             "predictor": self.runtime.predictor.stats.as_dict(),
             "models": {route.model_id: route.as_dict()
                        for route in self._routes.values()},
-            "batch_policy": snapshot() if callable(snapshot) else None,
         }
-        by_model = getattr(policy, "snapshot_by_model", None)
-        if callable(by_model):
-            # PolicyRouter labels policies by resolved artifact path; key
-            # the public section by registered model ids where routed.
-            ids = {route.path: route.model_id
-                   for route in self._routes.values()}
-            document["batch_policy_by_model"] = {
-                ids.get(label, label): entry
-                for label, entry in by_model().items()}
-        return document
 
     async def _handle_drain(self, body: bytes):
         timeout = 30.0

@@ -20,15 +20,11 @@ shards="per-type")`` + :class:`repro.serve.ShardedModelReader`): a runtime
 serving queries for one object type lazily reads only that type's shard.
 """
 
-from .adaptive import AdaptiveBatchController, BatchPolicy, PolicyRouter
 from .batching import MicroBatcher, QueuedRequest
 from .refresh import RefreshOutcome, refresh_model, warm_start_blocks
 from .server import RuntimeServer, RuntimeStats
 
 __all__ = [
-    "AdaptiveBatchController",
-    "BatchPolicy",
-    "PolicyRouter",
     "MicroBatcher",
     "QueuedRequest",
     "RefreshOutcome",

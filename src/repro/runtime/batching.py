@@ -16,21 +16,26 @@ Each submitted request carries a :class:`concurrent.futures.Future`; the
 consumer (:class:`repro.runtime.RuntimeServer`) resolves the futures with
 per-request slices once the coalesced batch has been predicted.
 
+Both thresholds are static: ``max_batch_size`` and ``max_delay_seconds``
+are fixed at construction and shared by every key.
+
 Backpressure is explicit: the batcher bounds the total queued rows and
 rejects further submissions with
 :class:`~repro.exceptions.QueueFullError` instead of queueing unboundedly —
 callers shed load or retry, and a stalled worker pool cannot take the
-submitting process down with it.
-
-The static ``max_batch_size`` / ``max_delay_seconds`` knobs can be
-overridden per key by a pluggable :class:`~repro.runtime.adaptive.BatchPolicy`
-(e.g. :class:`~repro.runtime.adaptive.AdaptiveBatchController`), which
-tunes the thresholds from the observed batch latency distribution.
+submitting process down with it.  A single request larger than the whole
+bound (``n_rows > max_pending``) could never be admitted, so it is refused
+with a non-retryable :class:`~repro.exceptions.ValidationError` instead.
 
 Shutdown never orphans a request: requests still queued when the batcher
 closes (or left behind by a stalled drain) have their futures settled with
 a typed :class:`~repro.exceptions.ServerClosedError` so callers can fail
 over instead of hanging.
+
+:attr:`MicroBatcher.flush_counts` counts flushes per trigger: ``size``,
+``deadline``, ``manual`` (:meth:`MicroBatcher.flush`), ``close`` (drained
+at shutdown) and ``cancelled`` (keys whose requests were settled with
+:class:`~repro.exceptions.ServerClosedError` instead of dispatched).
 
 The batcher itself never runs numerics; it only moves requests around under
 one lock, so submission stays in the microsecond range.
@@ -47,7 +52,7 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
-from ..exceptions import QueueFullError, ServerClosedError
+from ..exceptions import QueueFullError, ServerClosedError, ValidationError
 
 __all__ = ["QueuedRequest", "MicroBatcher"]
 
@@ -93,26 +98,21 @@ class MicroBatcher:
         key is flushed regardless of size.
     max_pending:
         Upper bound on queued rows across all keys; beyond it ``submit``
-        raises :class:`~repro.exceptions.QueueFullError`.
-    policy:
-        Optional :class:`~repro.runtime.adaptive.BatchPolicy` supplying
-        per-key ``batch_size`` / ``delay_seconds`` thresholds that
-        override the static knobs (which remain the fallback when no
-        policy is set).
+        raises :class:`~repro.exceptions.QueueFullError`.  A single
+        request of more than ``max_pending`` rows raises
+        :class:`~repro.exceptions.ValidationError` instead.
     """
 
     def __init__(self, on_batch: Callable[[Hashable, list[QueuedRequest]], Any],
                  *, max_batch_size: int = 256,
                  max_delay_seconds: float = 0.002,
-                 max_pending: int = 65536,
-                 policy=None) -> None:
+                 max_pending: int = 65536) -> None:
         self._on_batch = on_batch
         self.max_batch_size = check_positive_int(max_batch_size,
                                                  name="max_batch_size")
         self.max_delay_seconds = check_positive_float(
             max_delay_seconds, name="max_delay_seconds")
         self.max_pending = check_positive_int(max_pending, name="max_pending")
-        self.policy = policy
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queues: dict[Hashable, list[QueuedRequest]] = {}
@@ -125,15 +125,6 @@ class MicroBatcher:
                                         name="repro-microbatcher", daemon=True)
         self._thread.start()
 
-    # ------------------------------------------------------------ thresholds
-    def _batch_limit(self, key: Hashable) -> int:
-        return (self.max_batch_size if self.policy is None
-                else max(1, int(self.policy.batch_size(key))))
-
-    def _delay_limit(self, key: Hashable) -> float:
-        return (self.max_delay_seconds if self.policy is None
-                else max(0.0, float(self.policy.delay_seconds(key))))
-
     # ------------------------------------------------------------- submission
     def submit(self, key: Hashable, queries: np.ndarray,
                future: Future | None = None, *,
@@ -141,12 +132,19 @@ class MicroBatcher:
         """Queue one request and return its future.
 
         Raises :class:`~repro.exceptions.QueueFullError` when accepting the
-        request would exceed ``max_pending`` queued rows, and
+        request would exceed ``max_pending`` queued rows,
+        :class:`~repro.exceptions.ValidationError` when the request alone
+        has more than ``max_pending`` rows (no retry can admit it), and
         :class:`~repro.exceptions.ServerClosedError` after :meth:`close`.
         """
+        n_rows = int(queries.shape[0])
+        if n_rows > self.max_pending:
+            raise ValidationError(
+                f"request has {n_rows} rows, more than the micro-batch "
+                f"queue holds ({self.max_pending}); split it into smaller "
+                "requests")
         if future is None:
             future = Future()
-        n_rows = int(queries.shape[0])
         batch = None
         with self._wakeup:
             if self._closed:
@@ -160,7 +158,7 @@ class MicroBatcher:
                 QueuedRequest(queries, future, time.monotonic(), trace))
             self._rows[key] = self._rows.get(key, 0) + n_rows
             self._pending_rows += n_rows
-            if self._rows[key] >= self._batch_limit(key):
+            if self._rows[key] >= self.max_batch_size:
                 batch = self._pop_locked(key)
                 self._flush_counts["size"] += 1
             else:
@@ -202,7 +200,7 @@ class MicroBatcher:
                 next_deadline = None
                 for key in list(self._queues):
                     deadline = (self._queues[key][0].enqueued_at
-                                + self._delay_limit(key))
+                                + self.max_delay_seconds)
                     if self._closed or deadline <= now:
                         due.append((key, self._pop_locked(key)))
                         self._flush_counts[
@@ -267,6 +265,6 @@ class MicroBatcher:
 
     @property
     def flush_counts(self) -> dict[str, int]:
-        """How many flushes each trigger has fired (size/deadline/manual/close)."""
+        """Flushes per trigger (size/deadline/manual/close/cancelled)."""
         with self._lock:
             return dict(self._flush_counts)

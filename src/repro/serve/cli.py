@@ -148,8 +148,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     request = PredictRequest(model=str(args.model), type_name=args.type_name,
                              queries=_load_queries(args.queries),
                              batch_size=args.batch_size)
-    predictor = BatchPredictor(default_batch_size=args.batch_size,
-                               lazy_shards=True)
+    predictor = BatchPredictor(default_batch_size=args.batch_size)
     response = predictor.serve(request)
     stats = predictor.stats
     counts = np.bincount(response.labels,

@@ -464,16 +464,15 @@ class ShardedModelReader:
         return RHCHMEModel.load(self._path)
 
 
-def open_model(path, *, lazy: bool = False):
-    """Open an artifact as an eager model or, when possible, a lazy reader.
+def open_model(path):
+    """Open an artifact as a lazy reader when sharded, else as an eager model.
 
-    With ``lazy=True`` a sharded artifact (``per-type`` or
-    ``per-type-mmap``) is opened as a :class:`ShardedModelReader` (only
-    queried types' arrays are read); a monolithic artifact falls back to
-    the eager :class:`~repro.serve.artifact.RHCHMEModel`.  Both returned
-    objects share the ``predict``/``type_info``/``type_names`` serving
-    surface.
+    A sharded artifact (``per-type`` or ``per-type-mmap``) is opened as a
+    :class:`ShardedModelReader` (only queried types' arrays are read); a
+    monolithic artifact loads as the eager
+    :class:`~repro.serve.artifact.RHCHMEModel`.  Both returned objects
+    share the ``predict``/``type_info``/``type_names`` serving surface.
     """
-    if lazy and RHCHMEModel.read_metadata(path).get("shards"):
+    if RHCHMEModel.read_metadata(path).get("shards"):
         return ShardedModelReader(path)
     return RHCHMEModel.load(path)

@@ -264,6 +264,24 @@ def test_queue_full_503_from_backpressure(launch, net_queries):
     assert results["response"].n_queries == 1
 
 
+def test_request_larger_than_queue_400_not_retryable(launch, net_queries):
+    # A request no drain could ever admit is a client error, not a 503
+    # the client would retry forever.
+    handle = launch(max_pending=4)
+    status, document, headers = _raw(
+        handle.host, handle.port, "POST", "/v1/predict",
+        {"model": "docs", "type": "points",
+         "queries": net_queries[:5].tolist()})
+    assert status == 400
+    assert document["code"] == "invalid_request"
+    assert "Retry-After" not in headers
+    with NetClient(handle.host, handle.port) as client:
+        with pytest.raises(ValidationError):
+            client.predict("docs", "points", net_queries[:5])
+        assert client.predict("docs", "points",
+                              net_queries[:4]).n_queries == 4
+
+
 # --------------------------------------------------------- drain lifecycle
 def test_drain_completes_inflight_then_sheds_new(launch, net_queries):
     handle = launch(max_delay_seconds=0.4, max_batch_size=4096)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import QueueFullError
+from repro.exceptions import QueueFullError, ValidationError
 from repro.runtime import MicroBatcher
 
 #: Generous deadline for deadline-flush assertions on slow CI machines.
@@ -138,6 +138,21 @@ class TestBackpressure:
             batcher.submit("m", rows(5))
             batcher.flush()
             batcher.submit("m", rows(5))  # accepted again
+        finally:
+            batcher.close()
+
+    def test_request_larger_than_queue_is_invalid_not_full(self, rows):
+        # No amount of draining can admit 5 rows into a 4-row queue, so
+        # the refusal must not be the retryable QueueFullError.
+        sink = Collector()
+        batcher = MicroBatcher(sink, max_batch_size=1000,
+                               max_delay_seconds=30.0, max_pending=4)
+        try:
+            with pytest.raises(ValidationError, match="more than"):
+                batcher.submit("m", rows(5))
+            assert batcher.pending_rows == 0
+            batcher.submit("m", rows(4))  # the queue is untouched
+            assert batcher.pending_rows == 4
         finally:
             batcher.close()
 

@@ -146,6 +146,21 @@ class TestBackpressure:
             runtime.flush()
             assert runtime.pending_rows == 0
 
+    def test_oversized_request_is_invalid_not_rejected(self,
+                                                       runtime_model_path):
+        with RuntimeServer(workers="serial", max_batch_size=10**6,
+                           max_delay_seconds=30.0, max_pending=8) as runtime:
+            runtime.submit(path=runtime_model_path,
+                           type_name="points", queries=np.zeros((3, 6)))
+            with pytest.raises(ValidationError):
+                runtime.submit(path=runtime_model_path,
+                               type_name="points", queries=np.zeros((9, 6)))
+            stats = runtime.stats
+            assert stats.rejected == 0
+            assert stats.submitted == 1
+            assert stats.errors.get("invalid_request") == 1
+            assert runtime.pending_rows == 3
+
 
 class TestConcurrentSubmitters:
     def test_parallel_clients_all_get_answers(self, runtime_model_path,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ArtifactError, ValidationError
-from repro.serve import (BatchPredictor, RHCHMEModel, ShardedModelReader,
-                         open_model)
+from repro.serve import (SHARD_LAYOUTS, BatchPredictor, RHCHMEModel,
+                         ShardedModelReader, open_model)
 
 
 class TestRoundTripParity:
@@ -139,11 +139,8 @@ class TestLazyReader:
 
     def test_open_model_dispatches_by_layout(self, runtime_model_path,
                                              sharded_model_path):
-        assert isinstance(open_model(sharded_model_path, lazy=True),
-                          ShardedModelReader)
-        assert isinstance(open_model(sharded_model_path), RHCHMEModel)
-        assert isinstance(open_model(runtime_model_path, lazy=True),
-                          RHCHMEModel)
+        assert isinstance(open_model(sharded_model_path), ShardedModelReader)
+        assert isinstance(open_model(runtime_model_path), RHCHMEModel)
 
     def test_global_shard_loads_on_association_access(self,
                                                       sharded_model_path,
@@ -191,7 +188,7 @@ class TestPredictorIntegration:
     def test_lazy_predictor_serves_sharded_artifact(self, sharded_model_path,
                                                     runtime_artifact,
                                                     query_batch):
-        predictor = BatchPredictor(lazy_shards=True)
+        predictor = BatchPredictor()
         prediction = predictor.predict(path=sharded_model_path,
                                        type_name="points", X_new=query_batch)
         direct = runtime_artifact.predict("points", query_batch)
@@ -200,7 +197,24 @@ class TestPredictorIntegration:
         assert isinstance(model, ShardedModelReader)
         assert model.accounting()["loaded_types"] == ["points"]
 
-    def test_eager_predictor_still_loads_fully(self, sharded_model_path):
-        predictor = BatchPredictor(lazy_shards=False)
-        assert isinstance(predictor.get_model(sharded_model_path),
-                          RHCHMEModel)
+    @pytest.mark.parametrize("layout", SHARD_LAYOUTS)
+    def test_predictor_matches_model_predict(self, layout, runtime_artifact,
+                                             query_batch, tmp_path):
+        path = runtime_artifact.save(tmp_path / "model.npz", shards=layout)
+        # Diagnostics on: the drift detector is built from whatever the
+        # predictor opened, a lazy reader included.
+        predictor = BatchPredictor(diagnostics=True)
+        for type_name in runtime_artifact.type_names:
+            queries = (query_batch if type_name == "points"
+                       else runtime_artifact.features[type_name][:16] + 0.01)
+            served = predictor.predict(path=path, type_name=type_name,
+                                       X_new=queries)
+            direct = runtime_artifact.predict(type_name, queries)
+            np.testing.assert_array_equal(served.labels, direct.labels)
+            np.testing.assert_array_equal(served.membership,
+                                          direct.membership)
+        model = predictor.get_model(path)
+        expected = (RHCHMEModel if layout == "monolithic"
+                    else ShardedModelReader)
+        assert isinstance(model, expected)
+        assert predictor.drift_snapshot()
